@@ -177,8 +177,7 @@ fn main() {
                     "     \"processed_cycles\": {}, \"skipped_cycles\": {}, ",
                     "\"simt_events\": {}, \"gemmini_events\": {}, ",
                     "\"tensor_events\": {}, \"dma_events\": {}, ",
-                    "\"dsm_events\": {}, \"dram_events\": {}, ",
-                    "\"bailout_engagements\": {}}}"
+                    "\"dsm_events\": {}, \"dram_events\": {}}}"
                 ),
                 c.name,
                 c.cycles,
@@ -194,7 +193,6 @@ fn main() {
                 c.sched.dma_events,
                 c.sched.dsm_events,
                 c.sched.dram_events,
-                c.sched.bailout_engagements,
             )
         })
         .collect();
@@ -245,17 +243,9 @@ fn main() {
                 c.speedup()
             );
         }
-        // Batched streaming gives every matrix unit a real (block-boundary)
-        // horizon, so the adaptive naive-stepping bailout must never engage
-        // on these workloads — if it does, a horizon regressed to `now`-pins.
-        assert_eq!(
-            c.sched.bailout_engagements, 0,
-            "{}: the fast-forward bailout engaged — a component's next_activity is pinning the horizon",
-            c.name
-        );
     }
     println!(
-        "stall-heavy speedup: {:.1}x (target >= 3x), dense gates met, zero bailouts — all reports bit-identical",
+        "stall-heavy speedup: {:.1}x (target >= 3x), dense gates met — all reports bit-identical",
         stall.speedup()
     );
 }

@@ -79,14 +79,8 @@ pub fn classify(path: &str, value: &JsonValue) -> Rule {
             // fewer skipped cycles) means some component's horizon regressed
             // toward `now`-pinning. The counts are deterministic for a given
             // simulator version, so the tolerance only absorbs rounding.
-            "processed_cycles"
-            | "simt_events"
-            | "gemmini_events"
-            | "tensor_events"
-            | "dma_events"
-            | "dsm_events"
-            | "dram_events"
-            | "bailout_engagements" => Rule::HigherWorse(0.001),
+            "processed_cycles" | "simt_events" | "gemmini_events" | "tensor_events"
+            | "dma_events" | "dsm_events" | "dram_events" => Rule::HigherWorse(0.001),
             // Serving-simulator gates (`BENCH_serve.json`): tail latency and
             // energy-per-request regress upward, goodput regresses downward.
             // The serving pipeline is deterministic end-to-end (seeded trace,
@@ -417,7 +411,6 @@ mod tests {
             "dma_events",
             "dsm_events",
             "dram_events",
-            "bailout_engagements",
         ] {
             assert_eq!(
                 classify(&format!("comparisons[1].{key}"), &num),
@@ -435,13 +428,6 @@ mod tests {
         assert_eq!(rows[0].status, "REGRESSION");
         let (r, _) = diff(r#"{"simt_events": 500}"#, r#"{"simt_events": 400}"#);
         assert_eq!(r, 0);
-        // A bailout appearing where the baseline had none is a regression
-        // even from zero (the relative-tolerance guard must not mask it).
-        let (r, _) = diff(
-            r#"{"bailout_engagements": 0}"#,
-            r#"{"bailout_engagements": 1}"#,
-        );
-        assert_eq!(r, 1);
         // Skipped cycles shrinking means the driver is jumping less.
         let (r, _) = diff(r#"{"skipped_cycles": 9000}"#, r#"{"skipped_cycles": 7000}"#);
         assert_eq!(r, 1);

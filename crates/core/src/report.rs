@@ -7,8 +7,8 @@ use virgo_energy::{
 };
 use virgo_isa::KernelInfo;
 use virgo_mem::{
-    BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats, DsmFabric,
-    DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, MemoryBackend, SmemStats,
+    BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
+    DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, SmemStats,
 };
 use virgo_sim::{ClusterFaultStats, Cycle, FaultPlan, FaultStats, Frequency, Ratio};
 use virgo_simt::CoreStats;
@@ -23,7 +23,10 @@ use crate::config::DesignKind;
 /// zero under `SimMode::Naive` (which has no scheduler) and are deliberately
 /// excluded from the report digest/fingerprint, so the two simulation modes
 /// stay bit-identical on every architectural statistic while still exposing
-/// where the event queue's time went.
+/// where the event queue's time went. A job report carries the counters
+/// accumulated over its residency window (the delta since admission), so
+/// under concurrent residency they cover every job's events in that window;
+/// a job that owns the whole machine reports exactly its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Cycles on which at least one component was scheduled and ticked.
@@ -47,10 +50,22 @@ pub struct SchedStats {
     /// event of its own — latency surfaces through the components that access
     /// it. The counter exists so the attribution table is exhaustive.
     pub dram_events: u64,
-    /// Times the scheduler fell back to plain naive stepping because every
-    /// component was due for several consecutive cycles. With batched operand
-    /// streaming this should stay at zero on dense GEMM workloads.
-    pub bailout_engagements: u64,
+}
+
+impl SchedStats {
+    /// The counters accumulated since `base` was taken.
+    pub(crate) fn since(&self, base: &SchedStats) -> SchedStats {
+        SchedStats {
+            processed_cycles: self.processed_cycles - base.processed_cycles,
+            skipped_cycles: self.skipped_cycles - base.skipped_cycles,
+            simt_events: self.simt_events - base.simt_events,
+            gemmini_events: self.gemmini_events - base.gemmini_events,
+            tensor_events: self.tensor_events - base.tensor_events,
+            dma_events: self.dma_events - base.dma_events,
+            dsm_events: self.dsm_events - base.dsm_events,
+            dram_events: self.dram_events - base.dram_events,
+        }
+    }
 }
 
 /// Per-cluster slice of a [`SimReport`].
@@ -183,9 +198,8 @@ pub struct SimReport {
 /// owned plus the shared-resource counters accumulated over its residency
 /// window (an attribution delta between retirement and admission snapshots).
 ///
-/// The single-kernel drivers build the degenerate view — every cluster,
-/// zero-base attribution, `admitted = 0` — so [`SimReport::from_parts`]
-/// reproduces the pre-refactor report byte for byte.
+/// A standalone run is the degenerate view: every cluster, zero-base
+/// attribution, `admitted = 0`.
 pub(crate) struct JobView<'a> {
     /// The cluster slots the job ran on, in cluster-id order.
     pub(crate) clusters: Vec<&'a Cluster>,
@@ -212,27 +226,6 @@ fn windows_between(count_by: impl Fn(u64) -> u64, admitted: u64, end: u64) -> u6
 }
 
 impl SimReport {
-    /// Builds a report from the finished machine: every cluster plus the
-    /// shared memory back-end. The degenerate single-job view of
-    /// [`SimReport::from_parts`].
-    pub(crate) fn from_machine(
-        clusters: &[Cluster],
-        backend: &MemoryBackend,
-        fabric: &DsmFabric,
-        info: &KernelInfo,
-        cycles: Cycle,
-        sched: SchedStats,
-    ) -> Self {
-        let view = JobView {
-            clusters: clusters.iter().collect(),
-            backend: backend.attribution(),
-            fabric: fabric.attribution(),
-            admitted: 0,
-            end: cycles.get(),
-        };
-        SimReport::from_parts(&view, info, cycles, sched)
-    }
-
     /// Builds a report from one job's view of the machine.
     ///
     /// `cycles` is the job's residency duration (`end - admitted`). All

@@ -67,7 +67,10 @@ const FORMAT: &str = "virgo-simreport";
 // cleanly.
 // v5: event-driven scheduler — the payload gained `sched` (driver event
 // attribution); v4 entries (pre-scheduler) must miss cleanly.
-const VERSION: u64 = 6;
+// v6: per-cluster contention objects gained `l2_misses` / `dma_bytes`.
+// v7: `sched` lost the engagement count of the driver's removed
+// naive-stepping fallback; v6 entries must miss cleanly.
+const VERSION: u64 = 7;
 
 // ---------------------------------------------------------------------------
 // A minimal JSON document model.
@@ -606,7 +609,6 @@ u64_stats_codec!(
         dma_events,
         dsm_events,
         dram_events,
-        bailout_engagements,
     ]
 );
 
@@ -1037,7 +1039,9 @@ mod tests {
     fn version_and_format_are_checked() {
         let (report, key) = sample_report(1);
         let text = report.to_cache_json(&key);
-        let bumped = text.replace("\"version\":6", "\"version\":99");
+        let current = format!("\"version\":{VERSION}");
+        assert!(text.contains(&current), "{text}");
+        let bumped = text.replace(&current, "\"version\":99");
         let err = SimReport::from_cache_json(&bumped, &key).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }

@@ -119,11 +119,20 @@ impl EventQueue {
         self.heap.len()
     }
 
-    /// Drops every pending entry (used when a naive burst re-synchronizes
-    /// all components and the driver re-registers every horizon afresh).
+    /// Drops every pending entry.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.pending.fill(NONE_PENDING);
+    }
+
+    /// Drops every pending entry of the components in `ids`, stale
+    /// duplicates included (used when the components are replaced, so a
+    /// leftover entry must not wake their successors).
+    pub fn cancel(&mut self, ids: std::ops::Range<u32>) {
+        self.heap.retain(|Reverse((_, id))| !ids.contains(id));
+        for id in ids {
+            self.pending[id as usize] = NONE_PENDING;
+        }
     }
 }
 
@@ -168,6 +177,20 @@ mod tests {
         assert!(due[0]);
         // The stale entry at 10 survives as a spurious (harmless) wake.
         assert_eq!(q.next_cycle(), Some(10));
+    }
+
+    #[test]
+    fn cancel_drops_only_the_given_components() {
+        let mut q = EventQueue::new(3);
+        q.schedule(0, Cycle::new(5));
+        q.schedule(1, Cycle::new(9));
+        q.schedule(1, Cycle::new(4)); // leaves a stale entry at 9
+        q.schedule(2, Cycle::new(7));
+        q.cancel(1..2);
+        assert_eq!(q.len(), 2, "both entries of component 1 must go");
+        assert_eq!(q.next_cycle(), Some(5));
+        q.schedule(1, Cycle::new(6));
+        assert_eq!(q.len(), 3, "cancel must forget the dedup state");
     }
 
     #[test]

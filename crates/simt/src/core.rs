@@ -53,8 +53,8 @@ pub struct TickOutcome {
     pub acted: bool,
     /// A warp transitioned to finished during this tick (last instruction
     /// consumed, final load drained, or final unblock). This is the only
-    /// core-side event that can flip the machine-wide finish check, so the
-    /// driver gates that walk on it.
+    /// core-side event that can flip a job's finish check, so the driver
+    /// gates that walk on it.
     pub warp_retired: bool,
     /// The core's event horizon after this tick, folded from the per-warp
     /// state the issue scan walks anyway: the earliest in-flight load
@@ -184,7 +184,7 @@ impl SimtCore {
     /// a ready warp is guaranteed to retry next cycle (skip the horizon
     /// probe), whether anything outside the core may have changed (skip the
     /// cross-component signature checks), and whether a warp just finished
-    /// (the only moment the machine-wide finish check can flip).
+    /// (the only moment a job's finish check can flip).
     pub fn tick(&mut self, now: Cycle, port: &mut dyn ClusterPort) -> TickOutcome {
         self.stats.total_cycles += 1;
         if self.warps.is_empty() {
