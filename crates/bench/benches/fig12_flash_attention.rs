@@ -102,8 +102,8 @@ fn main() {
         .unwrap()
         .1;
     println!(
-        "\nVirgo vs Ampere-style: energy -{:.1}% (paper: -50.6%), utilization {} vs {} (paper: 65.7% vs 35.1%)",
-        (1.0 - virgo.total_energy_mj() / ampere.total_energy_mj()) * 100.0,
+        "\nVirgo vs Ampere-style: energy {:+.1}% (paper: -50.6%), utilization {} vs {} (paper: 65.7% vs 35.1%)",
+        (virgo.total_energy_mj() / ampere.total_energy_mj() - 1.0) * 100.0,
         pct(virgo.mac_utilization().as_fraction()),
         pct(ampere.mac_utilization().as_fraction()),
     );

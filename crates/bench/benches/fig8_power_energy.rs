@@ -45,14 +45,14 @@ fn main() {
         let ampere = get(DesignKind::AmpereStyle);
         let hopper = get(DesignKind::HopperStyle);
         println!(
-            "\nVirgo vs Ampere-style: power -{:.1}%, energy -{:.1}%",
-            (1.0 - virgo.active_power_mw() / ampere.active_power_mw()) * 100.0,
-            (1.0 - virgo.total_energy_mj() / ampere.total_energy_mj()) * 100.0
+            "\nVirgo vs Ampere-style: power {:+.1}%, energy {:+.1}%",
+            (virgo.active_power_mw() / ampere.active_power_mw() - 1.0) * 100.0,
+            (virgo.total_energy_mj() / ampere.total_energy_mj() - 1.0) * 100.0
         );
         println!(
-            "Virgo vs Hopper-style: power -{:.1}%, energy -{:.1}%",
-            (1.0 - virgo.active_power_mw() / hopper.active_power_mw()) * 100.0,
-            (1.0 - virgo.total_energy_mj() / hopper.total_energy_mj()) * 100.0
+            "Virgo vs Hopper-style: power {:+.1}%, energy {:+.1}%",
+            (virgo.active_power_mw() / hopper.active_power_mw() - 1.0) * 100.0,
+            (virgo.total_energy_mj() / hopper.total_energy_mj() - 1.0) * 100.0
         );
     }
     println!("\nPaper reference (Figure 8 / Section 6.1.2): Virgo reduces active power by 67.3%");

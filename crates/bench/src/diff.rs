@@ -16,10 +16,12 @@
 //!   not drift at all, and
 //! * numeric gates regress directionally with per-metric tolerances
 //!   ([`classify`]).
+//!
+//! Numbers are compared by value, so `1` and `1.0` are the same leaf.
 
 use std::path::Path;
 
-use crate::benchjson::{flatten, parse, JsonValue};
+use virgo_sim::json::{parse, Json};
 
 /// How one metric is judged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,19 +37,19 @@ pub enum Rule {
 }
 
 /// Classifies a metric by the last segment of its dotted path.
-pub fn classify(path: &str, value: &JsonValue) -> Rule {
+pub fn classify(path: &str, value: &Json) -> Rule {
     let key = path
         .rsplit('.')
         .next()
         .unwrap_or(path)
         .trim_end_matches(|c: char| c == ']' || c.is_ascii_digit() || c == '[');
     match value {
-        JsonValue::Str(_) | JsonValue::Bool(_) | JsonValue::Null => {
+        Json::Str(_) | Json::Bool(_) | Json::Null => {
             // Identity/shape fields (design names, workload labels, the
             // dsm on/off flag, bit_identical) must not drift.
             Rule::Exact
         }
-        JsonValue::Num(_) => match key {
+        Json::Num(_) => match key {
             "cycles"
             | "simulated_cycles"
             | "dram_contention_stall_cycles"
@@ -115,19 +117,25 @@ pub fn classify(path: &str, value: &JsonValue) -> Rule {
 }
 
 /// Renders a JSON leaf for the diff table.
-pub fn fmt_value(v: &JsonValue) -> String {
+pub fn fmt_value(v: &Json) -> String {
     match v {
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        JsonValue::Str(s) => s.clone(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Null => "null".to_string(),
+        Json::Num(raw) => match v.as_f64() {
+            Ok(n) if n.fract() == 0.0 && n.abs() < 1e15 => format!("{}", n as i64),
+            Ok(n) => format!("{n}"),
+            Err(_) => raw.clone(),
+        },
+        Json::Str(s) => s.clone(),
+        Json::Bool(b) => b.to_string(),
+        Json::Null => "null".to_string(),
         other => format!("{other:?}"),
+    }
+}
+
+/// Leaf equality with numbers compared by value.
+fn same_leaf(a: &Json, b: &Json) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Ok(x), Ok(y)) => x == y,
+        _ => a == b,
     }
 }
 
@@ -153,11 +161,11 @@ pub struct Row {
 /// new-gate contracts are unit-testable without touching the filesystem.
 pub fn diff_leaves(
     name: &str,
-    old_leaves: &[(String, JsonValue)],
-    new_leaves: &[(String, JsonValue)],
+    old_leaves: &[(String, Json)],
+    new_leaves: &[(String, Json)],
     rows: &mut Vec<Row>,
 ) -> u32 {
-    let lookup: std::collections::HashMap<&str, &JsonValue> = new_leaves
+    let lookup: std::collections::HashMap<&str, &Json> = new_leaves
         .iter()
         .map(|(path, v)| (path.as_str(), v))
         .collect();
@@ -177,21 +185,21 @@ pub fn diff_leaves(
             continue;
         };
         let rule = classify(path, old);
-        match (rule, old, *new) {
-            (Rule::Exact, a, b) if a != b => {
+        match (rule, old.as_f64(), new.as_f64()) {
+            (Rule::Exact, ..) if !same_leaf(old, new) => {
                 rows.push(Row {
                     status: "CHANGED",
                     path: label,
-                    old: fmt_value(a),
-                    new: fmt_value(b),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: "identity field drifted".to_string(),
                 });
                 regressions += 1;
             }
-            (Rule::Exact, _, _) => {}
-            (rule, JsonValue::Num(a), JsonValue::Num(b)) => {
-                let delta_pct = if *a == 0.0 {
-                    if *b == 0.0 {
+            (Rule::Exact, ..) => {}
+            (rule, Ok(a), Ok(b)) => {
+                let delta_pct = if a == 0.0 {
+                    if b == 0.0 {
                         0.0
                     } else {
                         f64::INFINITY
@@ -200,8 +208,8 @@ pub fn diff_leaves(
                     (b - a) / a.abs() * 100.0
                 };
                 let (worse, tol) = match rule {
-                    Rule::HigherWorse(tol) => (*b > *a && (b - a) > a.abs() * tol, tol),
-                    Rule::LowerWorse(tol) => (*b < *a && (a - b) > a.abs() * tol, tol),
+                    Rule::HigherWorse(tol) => (b > a && (b - a) > a.abs() * tol, tol),
+                    Rule::LowerWorse(tol) => (b < a && (a - b) > a.abs() * tol, tol),
                     _ => (false, 0.0),
                 };
                 let status = if matches!(rule, Rule::Info) {
@@ -220,8 +228,8 @@ pub fn diff_leaves(
                 rows.push(Row {
                     status,
                     path: label,
-                    old: fmt_value(&JsonValue::Num(*a)),
-                    new: fmt_value(&JsonValue::Num(*b)),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: if worse {
                         format!("{delta_pct:+.2}% (tolerance {:.1}%)", tol * 100.0)
                     } else {
@@ -229,14 +237,14 @@ pub fn diff_leaves(
                     },
                 });
             }
-            (_, a, b) => {
+            _ => {
                 // A gate metric that changed JSON *type* (number -> string,
                 // null, ...) is a malformed artifact, not a pass.
                 rows.push(Row {
                     status: "TYPE",
                     path: label,
-                    old: fmt_value(a),
-                    new: fmt_value(b),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: "metric changed JSON type — regenerate the committed artifact"
                         .to_string(),
                 });
@@ -276,7 +284,7 @@ pub fn diff_leaves(
 
 /// Diffs one bench artifact on disk; returns the number of regressions.
 pub fn diff_file(name: &str, baseline: &Path, current: &Path, rows: &mut Vec<Row>) -> u32 {
-    let read_doc = |path: &Path| -> Result<Vec<(String, JsonValue)>, String> {
+    let read_doc = |path: &Path| -> Result<Vec<(String, Json)>, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         Ok(flatten(
@@ -299,11 +307,40 @@ pub fn diff_file(name: &str, baseline: &Path, current: &Path, rows: &mut Vec<Row
     diff_leaves(name, &old_leaves, &new_leaves, rows)
 }
 
+/// Flattens a document into `(dotted.path, leaf)` pairs in document order:
+/// object keys join with `.`, array elements with `[index]`.
+fn flatten(value: &Json) -> Vec<(String, Json)> {
+    let mut out = Vec::new();
+    walk(value, String::new(), &mut out);
+    out
+}
+
+fn walk(value: &Json, path: String, out: &mut Vec<(String, Json)>) {
+    match value {
+        Json::Object(fields) => {
+            for (key, v) in fields {
+                let child = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                walk(v, child, out);
+            }
+        }
+        Json::Array(items) => {
+            for (i, v) in items.iter().enumerate() {
+                walk(v, format!("{path}[{i}]"), out);
+            }
+        }
+        leaf => out.push((path, leaf.clone())),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn leaves(text: &str) -> Vec<(String, JsonValue)> {
+    fn leaves(text: &str) -> Vec<(String, Json)> {
         flatten(&parse(text).expect("test JSON parses"))
     }
 
@@ -311,6 +348,84 @@ mod tests {
         let mut rows = Vec::new();
         let n = diff_leaves("t.json", &leaves(old), &leaves(new), &mut rows);
         (n, rows)
+    }
+
+    #[test]
+    fn flatten_produces_dotted_paths() {
+        let num = |raw: &str| Json::Num(raw.to_string());
+        assert_eq!(
+            leaves(r#"{"a": {"b": [1, {"c": 2}]}, "d": "x"}"#),
+            vec![
+                ("a.b[0]".to_string(), num("1")),
+                ("a.b[1].c".to_string(), num("2")),
+                ("d".to_string(), Json::Str("x".to_string())),
+            ]
+        );
+    }
+
+    #[test]
+    fn numbers_compare_by_value_not_text() {
+        // Identity fields, tolerance gates and Info leaves alike: a number
+        // written differently is the same metric.
+        let (r, rows) = diff(
+            r#"{"clusters": 8, "cycles": 100, "speedup": 2.50, "elapsed_ms": 5}"#,
+            r#"{"clusters": 8.0, "cycles": 1e2, "speedup": 2.5, "elapsed_ms": 5.0}"#,
+        );
+        assert_eq!(r, 0);
+        assert!(rows.is_empty(), "{rows:?}");
+    }
+
+    /// `value` moved past `rule`'s tolerance in its worse direction, or, for
+    /// an identity field, changed to a different value.
+    fn worsen(rule: Rule, value: &Json) -> Json {
+        let moved = |sign: f64, tol: f64| {
+            let a = value.as_f64().expect("tolerance gates are numbers");
+            Json::Num(format!("{:?}", a + sign * (a.abs() * tol * 2.0).max(1.0)))
+        };
+        match (rule, value) {
+            (Rule::HigherWorse(tol), _) => moved(1.0, tol),
+            (Rule::LowerWorse(tol), _) => moved(-1.0, tol),
+            (_, Json::Bool(b)) => Json::Bool(!b),
+            (_, Json::Str(s)) => Json::Str(format!("{s}-changed")),
+            (_, Json::Null) => Json::Bool(false),
+            _ => moved(1.0, 0.0),
+        }
+    }
+
+    #[test]
+    fn every_committed_gate_can_fail() {
+        // For each gated leaf of each committed baseline, a fresh artifact
+        // with just that leaf worsened, or just that leaf deleted, must fail.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut names: Vec<String> = std::fs::read_dir(&root)
+            .expect("workspace root is readable")
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        names.sort();
+        assert!(!names.is_empty(), "no committed BENCH_*.json baselines");
+        for name in &names {
+            let text = std::fs::read_to_string(root.join(name)).unwrap();
+            let base = flatten(&parse(&text).unwrap_or_else(|e| panic!("{name}: {e}")));
+            let gated: Vec<usize> = (0..base.len())
+                .filter(|&i| classify(&base[i].0, &base[i].1) != Rule::Info)
+                .collect();
+            assert!(!gated.is_empty(), "{name} has no gated leaf");
+            for i in gated {
+                let (path, value) = &base[i];
+                let mut worse = base.clone();
+                worse[i].1 = worsen(classify(path, value), value);
+                let mut deleted = base.clone();
+                deleted.remove(i);
+                for (change, fresh) in [("worsened", worse), ("deleted", deleted)] {
+                    let mut rows = Vec::new();
+                    assert!(
+                        diff_leaves(name, &base, &fresh, &mut rows) > 0,
+                        "{name}:{path} {change} still passes"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -402,7 +517,7 @@ mod tests {
         // The fastforward artifact's scheduler counters must be gated, not
         // ungated-new: an event-count increase or a skipped-cycle decrease is
         // a horizon regression even when wall-clock speedup still passes.
-        let num = JsonValue::Num(100.0);
+        let num = Json::Num("100".into());
         for key in [
             "processed_cycles",
             "simt_events",
@@ -439,7 +554,7 @@ mod tests {
         // metrics must be ratcheted, not informational: a spread creeping
         // back up (or a single link re-hotspotting) is the exact regression
         // the rotated reduction exists to prevent.
-        let num = JsonValue::Num(1.0);
+        let num = Json::Num("1.0".into());
         for key in [
             "active_spread",
             "dsm_ingress_spread",
@@ -485,7 +600,7 @@ mod tests {
     fn fault_gate_metrics_are_classified() {
         // The fault_resilience artifact's headline gate and its identity
         // counters must be gated, not informational.
-        let num = JsonValue::Num(1.5);
+        let num = Json::Num("1.5".into());
         assert_eq!(
             classify("link_kill.cycle_overhead_ratio", &num),
             Rule::HigherWorse(0.001)
@@ -504,7 +619,7 @@ mod tests {
         // The shared-store section of BENCH_sweep.json: invariants are
         // gated, grid-size-dependent counts and latencies stay Info so a
         // smoke-sized CI grid can diff against the full committed artifact.
-        let num = JsonValue::Num(0.0);
+        let num = Json::Num("0".into());
         for key in ["remote_misses", "warm_unreachable"] {
             assert_eq!(
                 classify(&format!("store.{key}"), &num),
@@ -513,11 +628,11 @@ mod tests {
             );
         }
         assert_eq!(
-            classify("store.remote_hit_rate", &JsonValue::Num(1.0)),
+            classify("store.remote_hit_rate", &Json::Num("1.0".into())),
             Rule::LowerWorse(0.001)
         );
         assert_eq!(
-            classify("store.degraded_completed", &JsonValue::Bool(true)),
+            classify("store.degraded_completed", &Json::Bool(true)),
             Rule::Exact
         );
         for key in ["remote_hits", "warm_seconds", "degraded_unreachable"] {
@@ -545,7 +660,7 @@ mod tests {
     fn serving_gate_metrics_are_classified() {
         // The serving artifact's tail-latency/goodput/energy gates must be
         // ratcheted in the right direction, not informational.
-        let num = JsonValue::Num(10_000.0);
+        let num = Json::Num("10000".into());
         for key in [
             "p50_latency_cycles",
             "p99_latency_cycles",

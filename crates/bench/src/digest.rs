@@ -5,9 +5,8 @@
 //! promise covers — cycle count, instruction counts, the full per-core cycle
 //! classification, per-component energy and MAC utilization — in a plain
 //! `PartialEq` struct — including the DRAM interface and per-channel
-//! contention counters — so the equivalence test and the `fastforward`
-//! benchmark can compare whole runs with one assertion and emit them as JSON
-//! without external dependencies.
+//! contention counters — so the equivalence tests and the `fastforward`
+//! benchmark can compare whole runs with one assertion.
 
 use virgo::SimReport;
 use virgo_mem::DramStats;
@@ -122,80 +121,6 @@ impl ReportDigest {
                 .collect(),
         }
     }
-
-    /// Renders the digest as a JSON object (no external dependencies).
-    pub fn to_json(&self) -> String {
-        let breakdown: Vec<String> = self
-            .energy_breakdown_uj
-            .iter()
-            .map(|(name, uj)| format!("{}: {}", json_string(name), json_f64(*uj)))
-            .collect();
-        let stats = &self.core_stats;
-        format!(
-            concat!(
-                "{{\"design\": {}, \"kernel\": {}, \"cycles\": {}, ",
-                "\"instructions_retired\": {}, \"fence_poll_instructions\": {}, ",
-                "\"fence_wait_cycles\": {}, \"performed_macs\": {}, ",
-                "\"mac_utilization_percent\": {}, \"smem_bytes_read\": {}, ",
-                "\"active_cycles\": {}, \"stall_cycles\": {}, \"idle_cycles\": {}, ",
-                "\"dram_bytes\": {}, \"dram_bursts\": {}, ",
-                "\"dram_contention_stall_cycles\": {}, ",
-                "\"dsm_transfers\": {}, \"dsm_bytes\": {}, ",
-                "\"dsm_stall_cycles\": {}, \"dsm_hop_flits\": {}, ",
-                "\"total_energy_mj\": {}, \"active_power_mw\": {}, ",
-                "\"energy_breakdown_uj\": {{{}}}}}"
-            ),
-            json_string(&self.design),
-            json_string(&self.kernel),
-            self.cycles,
-            self.instructions_retired,
-            self.fence_poll_instructions,
-            self.fence_wait_cycles,
-            self.performed_macs,
-            json_f64(self.mac_utilization_percent),
-            self.smem_bytes_read,
-            stats.active_cycles,
-            stats.stall_cycles,
-            stats.idle_cycles,
-            self.dram_stats.bytes,
-            self.dram_stats.bursts,
-            self.dram_contention_stall_cycles,
-            self.dsm_transfers,
-            self.dsm_bytes,
-            self.dsm_stall_cycles,
-            self.dsm_hop_flits,
-            json_f64(self.total_energy_mj),
-            json_f64(self.active_power_mw),
-            breakdown.join(", ")
-        )
-    }
-}
-
-/// Escapes a string for inclusion in JSON output.
-pub(crate) fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Inf; the simulator
-/// never produces them, but clamp to null-safe output anyway).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:?}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -220,20 +145,5 @@ mod tests {
         assert_eq!(digest.cycles, report.cycles().get());
         assert_eq!(digest.design, "Virgo");
         assert!(!digest.energy_breakdown_uj.is_empty());
-        let json = digest.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cycles\""));
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
-    }
-
-    #[test]
-    fn json_f64_is_finite_only() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }

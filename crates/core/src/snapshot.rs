@@ -17,8 +17,9 @@
 //! check or the checksum and surfaces as a [`SnapshotError`] — the cache
 //! treats that as a miss and re-simulates, never as a panic.
 //!
-//! No external dependencies: the writer emits compact JSON directly and the
-//! reader is a ~150-line recursive-descent parser over the same subset.
+//! The document model, parser and writer are the shared
+//! [`virgo_sim::json`] codec; this module holds only the per-struct codecs
+//! and the envelope.
 
 use std::fmt;
 
@@ -27,6 +28,7 @@ use virgo_mem::{
     ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
     DsmFabricStats, DsmLinkStats, GlobalMemoryStats, SmemStats,
 };
+use virgo_sim::json::{get, parse, Json, JsonError, ObjWriter};
 use virgo_sim::{ClusterFaultStats, Cycle, FaultStats, Frequency, StableHasher};
 use virgo_simt::CoreStats;
 
@@ -53,6 +55,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> Self {
+        SnapshotError(e.to_string())
+    }
+}
+
 type Result<T> = std::result::Result<T, SnapshotError>;
 
 const FORMAT: &str = "virgo-simreport";
@@ -72,387 +80,12 @@ const FORMAT: &str = "virgo-simreport";
 // naive-stepping fallback; v6 entries must miss cleanly.
 const VERSION: u64 = 7;
 
-// ---------------------------------------------------------------------------
-// A minimal JSON document model.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so both `u64` and `f64`
-/// parse losslessly, and so re-rendering a parsed document is byte-identical
-/// (which is what makes the payload checksum verifiable after a round trip).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    /// Re-renders the value in the same compact form the writer emits.
-    fn render(&self, out: &mut String) {
-        match self {
-            Json::Object(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.render(out);
-                }
-                out.push('}');
-            }
-            Json::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render(out);
-                }
-                out.push(']');
-            }
-            Json::Str(s) => write_json_string(s, out),
-            Json::Num(raw) => out.push_str(raw),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Null => out.push_str("null"),
-        }
-    }
-
-    fn as_object(&self) -> Result<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Ok(fields),
-            other => Err(SnapshotError::new(format!(
-                "expected object, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_array(&self) -> Result<&[Json]> {
-        match self {
-            Json::Array(items) => Ok(items),
-            other => Err(SnapshotError::new(format!("expected array, got {other:?}"))),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(SnapshotError::new(format!(
-                "expected string, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|e| SnapshotError::new(format!("bad u64 {raw:?}: {e}"))),
-            other => Err(SnapshotError::new(format!(
-                "expected number, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|e| SnapshotError::new(format!("bad f64 {raw:?}: {e}"))),
-            other => Err(SnapshotError::new(format!(
-                "expected number, got {other:?}"
-            ))),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| SnapshotError::new(format!("missing field {key:?}")))
-}
-
 fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64> {
-    get(obj, key)?.as_u64()
+    Ok(get(obj, key)?.as_u64()?)
 }
 
 fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64> {
-    get(obj, key)?.as_f64()
-}
-
-// ---------------------------------------------------------------------------
-// Parser.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> SnapshotError {
-        SnapshotError::new(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: Json) -> Result<Json> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Continue a (possibly multi-byte) UTF-8 sequence; the
-                    // input is a &str so the bytes are valid UTF-8.
-                    let start = self.pos - 1;
-                    while self.bytes.get(self.pos).is_some_and(|&n| n & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err("empty number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in number"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-fn parse_document(text: &str) -> Result<Json> {
-    let mut p = Parser::new(text);
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer helpers.
-// ---------------------------------------------------------------------------
-
-fn write_json_string(value: &str, out: &mut String) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats an `f64` so it round-trips exactly (`{:?}` is Rust's
-/// shortest-representation formatting). The simulator never produces
-/// non-finite values, but reject them rather than emitting invalid JSON.
-fn fmt_f64(value: f64) -> String {
-    assert!(value.is_finite(), "reports never contain non-finite floats");
-    format!("{value:?}")
-}
-
-struct ObjWriter {
-    out: String,
-    first: bool,
-}
-
-impl ObjWriter {
-    fn new() -> Self {
-        ObjWriter {
-            out: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn raw(&mut self, key: &str, value: &str) -> &mut Self {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        write_json_string(key, &mut self.out);
-        self.out.push(':');
-        self.out.push_str(value);
-        self
-    }
-
-    fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.raw(key, &value.to_string())
-    }
-
-    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.raw(key, &fmt_f64(value))
-    }
-
-    fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        let mut quoted = String::new();
-        write_json_string(value, &mut quoted);
-        self.raw(key, &quoted)
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
+    Ok(get(obj, key)?.as_f64()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -897,7 +530,7 @@ impl SimReport {
     /// malformed JSON, wrong format/version, a key mismatch, a checksum
     /// mismatch or a payload that does not describe a valid report.
     pub fn from_cache_json(text: &str, expected_key: &str) -> Result<SimReport> {
-        let doc = parse_document(text.trim_end())?;
+        let doc = parse(text.trim_end())?;
         let o = doc.as_object()?;
         let format = get(o, "format")?.as_str()?;
         if format != FORMAT {
@@ -937,6 +570,7 @@ mod tests {
     use crate::run::{Gpu, SimMode};
     use std::sync::Arc;
     use virgo_isa::{DataType, Kernel, KernelInfo, ProgramBuilder, WarpAssignment, WarpOp};
+    use virgo_sim::json::{fmt_f64, parse as parse_document};
 
     fn sample_report(clusters: u32) -> (SimReport, String) {
         sample_report_channels(clusters, 1)

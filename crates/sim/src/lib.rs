@@ -16,7 +16,9 @@
 //! * [`activity`] — the [`NextActivity`] trait behind the cycle-skipping
 //!   fast-forward engine,
 //! * [`sched`] — the deterministic [`sched::EventQueue`] driving the
-//!   event-driven fast-forward loop.
+//!   event-driven fast-forward loop,
+//! * [`json`] — the JSON codec behind report snapshots, the bench
+//!   differ and the report store's statistics.
 //!
 //! The whole simulator is *cycle stepped*: every hardware component exposes a
 //! `tick`-style method that advances it by one clock cycle. There is no
@@ -44,6 +46,7 @@
 pub mod activity;
 pub mod cycle;
 pub mod fault;
+pub mod json;
 pub mod pipe;
 pub mod rng;
 pub mod sched;

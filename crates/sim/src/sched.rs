@@ -119,12 +119,6 @@ impl EventQueue {
         self.heap.len()
     }
 
-    /// Drops every pending entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pending.fill(NONE_PENDING);
-    }
-
     /// Drops every pending entry of the components in `ids`, stale
     /// duplicates included (used when the components are replaced, so a
     /// leftover entry must not wake their successors).
@@ -191,15 +185,5 @@ mod tests {
         assert_eq!(q.next_cycle(), Some(5));
         q.schedule(1, Cycle::new(6));
         assert_eq!(q.len(), 3, "cancel must forget the dedup state");
-    }
-
-    #[test]
-    fn clear_resets_dedup_state() {
-        let mut q = EventQueue::new(1);
-        q.schedule(0, Cycle::new(3));
-        q.clear();
-        assert!(q.is_empty());
-        q.schedule(0, Cycle::new(3));
-        assert_eq!(q.len(), 1, "clear must forget the old pending entry");
     }
 }

@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use virgo_sim::json::ObjWriter;
+
 use crate::entries::{EntryDir, Loaded, StoreError};
 use crate::protocol::{read_request, write_response, Opcode, Request, Status};
 
@@ -57,23 +59,21 @@ pub struct ServerStats {
 impl ServerStats {
     /// Renders the counters as a small JSON object (the `STATS` payload).
     pub fn to_json(&self) -> String {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\"connections\": {}, \"get_hits\": {}, \"get_misses\": {}, ",
-                "\"put_oks\": {}, \"put_rejects\": {}, \"quarantined\": {}, ",
-                "\"protocol_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}}}"
-            ),
-            g(&self.connections),
-            g(&self.get_hits),
-            g(&self.get_misses),
-            g(&self.put_oks),
-            g(&self.put_rejects),
-            g(&self.quarantined),
-            g(&self.protocol_errors),
-            g(&self.bytes_in),
-            g(&self.bytes_out),
-        )
+        let mut w = ObjWriter::new();
+        for (key, counter) in [
+            ("connections", &self.connections),
+            ("get_hits", &self.get_hits),
+            ("get_misses", &self.get_misses),
+            ("put_oks", &self.put_oks),
+            ("put_rejects", &self.put_rejects),
+            ("quarantined", &self.quarantined),
+            ("protocol_errors", &self.protocol_errors),
+            ("bytes_in", &self.bytes_in),
+            ("bytes_out", &self.bytes_out),
+        ] {
+            w.u64(key, counter.load(Ordering::Relaxed));
+        }
+        w.finish()
     }
 }
 
