@@ -1,7 +1,7 @@
 //! A small DSL for constructing loop-structured warp programs.
 
 use crate::op::{OpId, WarpOp};
-use crate::program::{Program, ProgramItem};
+use crate::program::{Code, Program};
 
 /// Builder for [`Program`]s.
 ///
@@ -25,26 +25,22 @@ use crate::program::{Program, ProgramItem};
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
-    /// Stack of partially-built item lists; the last entry is the innermost
-    /// open scope.
-    scopes: Vec<Vec<ProgramItem>>,
+    /// The flat code emitted so far.
+    code: Vec<Code>,
     next_id: u32,
 }
 
 impl ProgramBuilder {
-    /// Creates a builder with an empty top-level scope.
+    /// Creates a builder for an empty program.
     pub fn new() -> Self {
-        ProgramBuilder {
-            scopes: vec![Vec::new()],
-            next_id: 0,
-        }
+        ProgramBuilder::default()
     }
 
-    /// Appends a single operation to the current scope.
+    /// Appends a single operation.
     pub fn op(&mut self, op: WarpOp) -> &mut Self {
         let id = OpId(self.next_id);
         self.next_id += 1;
-        self.current_scope().push(ProgramItem::Op { id, op });
+        self.code.push(Code::Op(id, op));
         self
     }
 
@@ -63,33 +59,32 @@ impl ProgramBuilder {
     /// lets kernel generators express edge cases (e.g. a K-loop with a single
     /// iteration having no "next tile" prologue) without special cases.
     pub fn repeat(&mut self, count: u64, f: impl FnOnce(&mut Self)) -> &mut Self {
-        self.scopes.push(Vec::new());
+        let start = self.code.len();
+        self.code.push(Code::LoopStart { count, end: 0 });
         f(self);
-        let body = self.scopes.pop().expect("scope pushed above");
-        self.current_scope().push(ProgramItem::Loop { count, body });
+        let end = code_index(self.code.len());
+        self.code[start] = Code::LoopStart { count, end };
+        self.code.push(Code::LoopEnd {
+            start: code_index(start),
+        });
         self
     }
 
     /// Finishes the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a `repeat` scope is still being built (cannot
-    /// happen through the public API, which closes scopes via closures).
     pub fn build(mut self) -> Program {
-        assert_eq!(self.scopes.len(), 1, "unclosed loop scope");
-        let items = self.scopes.pop().expect("top-level scope");
-        Program::from_items(items, self.next_id)
+        self.code.shrink_to_fit();
+        Program::from_code(self.code, self.next_id)
     }
 
     /// Number of static operations added so far.
     pub fn static_len(&self) -> u32 {
         self.next_id
     }
+}
 
-    fn current_scope(&mut self) -> &mut Vec<ProgramItem> {
-        self.scopes.last_mut().expect("at least the root scope")
-    }
+/// A code index as stored in the loop markers.
+fn code_index(index: usize) -> u32 {
+    u32::try_from(index).expect("program exceeds u32::MAX code entries")
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //!   work, global/shared loads and stores, Volta-style `HMMA` steps,
 //!   Hopper-style asynchronous `wgmma` operations, MMIO commands to the
 //!   cluster DMA and the disaggregated matrix unit, barriers and fences),
-//! * [`Program`] — a loop-structured per-warp program, so that even a
-//!   1024³ GEMM (tens of millions of dynamic instructions) is represented in
-//!   a few kilobytes,
+//! * [`Program`] — a per-warp program stored as flat code with counted-loop
+//!   markers, so that even a 1024³ GEMM (tens of millions of dynamic
+//!   instructions) is represented in a few kilobytes, and
+//!   [`ProgramCursor`], which fetches its dynamic operations in O(1)
+//!   amortised time each,
 //! * [`ProgramBuilder`] — a small DSL used by the kernel generators in
 //!   `virgo-kernels`,
 //! * [`Kernel`] — the set of warp programs making up a thread block, plus the
@@ -50,4 +52,4 @@ pub use builder::ProgramBuilder;
 pub use kernel::{DataType, GridPartition, Kernel, KernelInfo, PartitionStrategy, WarpAssignment};
 pub use mmio::{DeviceId, DmaCopyCmd, MatrixComputeCmd, MemLoc, MmioCommand, WgmmaOp};
 pub use op::{OpId, WarpOp};
-pub use program::{Program, ProgramCursor, ProgramItem};
+pub use program::{Program, ProgramCursor};

@@ -161,6 +161,9 @@ struct StreamRead {
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     config: SmemConfig,
+    /// `config.bank_bytes()`, computed once: the SIMT path maps every lane
+    /// to its bank.
+    bank_bytes: u64,
     /// Per-bank cycle at which the bank's ports are next free.
     bank_busy_until: Vec<Cycle>,
     stats: SmemStats,
@@ -175,6 +178,9 @@ pub struct SharedMemory {
     /// so the per-lane conflict model allocates nothing on the SIMT
     /// load/store hot path.
     lane_scratch: Vec<(u32, u64)>,
+    /// Reusable per-lane bank indices for [`SharedMemory::access_simt`], so
+    /// each lane's bank is computed once per access.
+    lane_banks: Vec<usize>,
 }
 
 impl SharedMemory {
@@ -191,12 +197,14 @@ impl SharedMemory {
         );
         SharedMemory {
             config,
+            bank_bytes: config.bank_bytes(),
             bank_busy_until: vec![Cycle::ZERO; config.banks as usize],
             stats: SmemStats::default(),
             ecc: None,
             pending_reads: BinaryHeap::new(),
             next_stream_seq: 0,
             lane_scratch: Vec::new(),
+            lane_banks: Vec::new(),
         }
     }
 
@@ -237,7 +245,7 @@ impl SharedMemory {
 
     /// Bank index holding `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.config.bank_bytes()) % u64::from(self.config.banks)) as usize
+        ((addr / self.bank_bytes) % u64::from(self.config.banks)) as usize
     }
 
     /// Subbank index within a bank holding `addr`.
@@ -262,17 +270,22 @@ impl SharedMemory {
 
         // Distinct (subbank slot, word) pairs for the aligned lanes: sorting
         // and deduplicating the reusable scratch yields the same distinct set
-        // per slot as a per-slot dedup, without allocating per access.
+        // per slot as a per-slot dedup, without allocating per access. Every
+        // lane's bank, unaligned lanes included, is kept for the occupancy
+        // update below.
         let mut scratch = std::mem::take(&mut self.lane_scratch);
+        let mut banks = std::mem::take(&mut self.lane_banks);
         scratch.clear();
+        banks.clear();
         let mut unaligned = 0u64;
         for &addr in lane_addrs {
+            let bank = self.bank_of(addr);
+            banks.push(bank);
             if addr % 4 != 0 {
                 unaligned += 1;
                 continue;
             }
-            let slot =
-                (self.bank_of(addr) * self.config.subbanks as usize + self.subbank_of(addr)) as u32;
+            let slot = (bank * self.config.subbanks as usize + self.subbank_of(addr)) as u32;
             scratch.push((slot, addr / 4));
         }
         self.stats.unaligned_serialized += unaligned;
@@ -302,14 +315,14 @@ impl SharedMemory {
         // the same max on the first pass and write the same value on the
         // second, so no dedup is needed.
         let mut start = now;
-        for &addr in lane_addrs {
-            start = start.max(self.bank_busy_until[self.bank_of(addr)]);
+        for &bank in &banks {
+            start = start.max(self.bank_busy_until[bank]);
         }
         let busy_cycles = 1 + conflict_cycles;
-        for &addr in lane_addrs {
-            let bank = self.bank_of(addr);
+        for &bank in &banks {
             self.bank_busy_until[bank] = start.plus(busy_cycles);
         }
+        self.lane_banks = banks;
 
         let words = lane_addrs.len() as u64;
         let bytes = words * 4;
@@ -647,5 +660,109 @@ mod tests {
         assert_eq!(a_stats, b_stats);
         assert!(a_stats.injected > 0);
         assert_eq!(a_stats.corrected, 0, "double-bit upsets are uncorrectable");
+    }
+
+    /// The per-lane SIMT formula before banks were computed once per lane:
+    /// every use re-derives the bank from the address. Kept as the reference
+    /// the one-pass [`SharedMemory::access_simt`] must match.
+    fn reference_access_simt(
+        config: &SmemConfig,
+        busy: &mut [Cycle],
+        stats: &mut SmemStats,
+        now: Cycle,
+        lane_addrs: &[u64],
+        write: bool,
+    ) -> SmemAccess {
+        let bank_of = |addr: u64| ((addr / config.bank_bytes()) % u64::from(config.banks)) as usize;
+        let subbank_of = |addr: u64| ((addr / 4) % u64::from(config.subbanks)) as usize;
+        stats.simt_accesses += 1;
+        if lane_addrs.is_empty() {
+            return SmemAccess {
+                done: now.plus(config.latency),
+                conflict_cycles: 0,
+            };
+        }
+        let mut slots: std::collections::BTreeMap<usize, std::collections::BTreeSet<u64>> =
+            Default::default();
+        let mut unaligned = 0u64;
+        for &addr in lane_addrs {
+            if addr % 4 != 0 {
+                unaligned += 1;
+                continue;
+            }
+            let slot = bank_of(addr) * config.subbanks as usize + subbank_of(addr);
+            slots.entry(slot).or_default().insert(addr / 4);
+        }
+        stats.unaligned_serialized += unaligned;
+        let max_depth = slots.values().map(|w| w.len() as u64).max().unwrap_or(0);
+        let conflict_cycles = max_depth.saturating_sub(1) + unaligned;
+        let mut start = now;
+        for &addr in lane_addrs {
+            start = start.max(busy[bank_of(addr)]);
+        }
+        let busy_cycles = 1 + conflict_cycles;
+        for &addr in lane_addrs {
+            busy[bank_of(addr)] = start.plus(busy_cycles);
+        }
+        let words = lane_addrs.len() as u64;
+        if write {
+            stats.words_written += words;
+            stats.bytes_written += words * 4;
+        } else {
+            stats.words_read += words;
+            stats.bytes_read += words * 4;
+        }
+        stats.conflict_cycles += conflict_cycles;
+        SmemAccess {
+            done: start.plus(busy_cycles + config.latency),
+            conflict_cycles,
+        }
+    }
+
+    /// One warp's lane addresses: strided runs that may cross banks, with
+    /// unaligned lanes and repeated words mixed in.
+    fn random_lanes(rng: &mut virgo_sim::SplitMix64, capacity: u64) -> Vec<u64> {
+        let lanes = rng.next_below(33);
+        let base = rng.next_below(capacity);
+        let stride = [0, 4, 8, 32, 64, 4096, 32 * 1024][rng.next_below(7) as usize];
+        let mut addrs: Vec<u64> = (0..lanes)
+            .map(|i| match rng.next_below(8) {
+                0 => rng.next_below(capacity),
+                1 => (base + i * stride + 1 + rng.next_below(3)) % capacity,
+                _ => (base / 4 * 4 + i * stride) % capacity,
+            })
+            .collect();
+        if lanes > 1 && rng.next_below(3) == 0 {
+            let j = rng.next_below(lanes) as usize;
+            addrs[j] = addrs[0];
+        }
+        addrs
+    }
+
+    #[test]
+    fn one_pass_banking_matches_per_lane_reference() {
+        let mut rng = virgo_sim::SplitMix64::new(0xBA4C);
+        for config in [
+            SmemConfig::default_cluster(),
+            SmemConfig::virgo_cluster(),
+            SmemConfig::double_banked(),
+        ] {
+            let mut s = SharedMemory::new(config);
+            let mut busy = vec![Cycle::ZERO; config.banks as usize];
+            let mut stats = SmemStats::default();
+            let mut now = Cycle::ZERO;
+            for _ in 0..3000 {
+                now = now.plus(rng.next_below(4));
+                let addrs = random_lanes(&mut rng, config.capacity_bytes);
+                let write = rng.next_below(2) == 0;
+                let want =
+                    reference_access_simt(&config, &mut busy, &mut stats, now, &addrs, write);
+                assert_eq!(s.access_simt(now, &addrs, write), want, "{addrs:?}");
+                assert_eq!(s.stats(), stats, "{addrs:?}");
+                for (bank, &free) in busy.iter().enumerate() {
+                    assert_eq!(s.bank_free_at(bank), free, "{addrs:?}");
+                }
+            }
+        }
     }
 }

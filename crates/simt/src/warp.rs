@@ -38,6 +38,9 @@ pub struct WarpContext {
     pending: Option<(OpId, WarpOp)>,
     /// Completion cycles of outstanding loads.
     outstanding_loads: Vec<Cycle>,
+    /// Earliest entry of `outstanding_loads` (`None` when it is empty), so
+    /// the per-tick retire check and the load horizon cost O(1).
+    earliest_load: Option<Cycle>,
     /// Why the warp is blocked, if it is.
     block: Option<BlockReason>,
     /// Cycle at which the warp last emitted a fence poll.
@@ -53,6 +56,7 @@ impl WarpContext {
             exec_counts: vec![0; program.static_len() as usize],
             pending: None,
             outstanding_loads: Vec::new(),
+            earliest_load: None,
             block: None,
             last_fence_poll: Cycle::ZERO,
         }
@@ -91,12 +95,17 @@ impl WarpContext {
     /// Registers an outstanding load completing at `done`.
     pub fn push_load(&mut self, done: Cycle) {
         self.outstanding_loads.push(done);
+        self.earliest_load = Some(self.earliest_load.map_or(done, |e| e.min(done)));
     }
 
     /// Retires loads whose completion cycle has passed; returns how many.
     pub fn retire_loads(&mut self, now: Cycle) -> usize {
+        if self.earliest_load.is_none_or(|e| e > now) {
+            return 0;
+        }
         let before = self.outstanding_loads.len();
         self.outstanding_loads.retain(|&done| done > now);
+        self.earliest_load = self.outstanding_loads.iter().copied().min();
         before - self.outstanding_loads.len()
     }
 
@@ -108,7 +117,7 @@ impl WarpContext {
     /// Completion cycle of the earliest outstanding load, if any — the next
     /// cycle at which [`WarpContext::retire_loads`] can retire something.
     pub fn earliest_load_done(&self) -> Option<Cycle> {
-        self.outstanding_loads.iter().copied().min()
+        self.earliest_load
     }
 
     /// Marks the warp blocked for `reason`.
@@ -265,5 +274,27 @@ mod tests {
     fn consume_without_peek_panics() {
         let mut w = warp_with(1);
         let _ = w.consume();
+    }
+
+    #[test]
+    fn cached_load_horizon_matches_brute_force() {
+        let mut rng = virgo_sim::SplitMix64::new(0x10AD);
+        let mut w = warp_with(0);
+        let mut model: Vec<Cycle> = Vec::new();
+        let mut now = Cycle::ZERO;
+        for _ in 0..20_000 {
+            now = now.plus(rng.next_below(3));
+            if rng.next_below(2) == 0 {
+                let done = now.plus(rng.next_below(24));
+                w.push_load(done);
+                model.push(done);
+            } else {
+                let before = model.len();
+                model.retain(|&done| done > now);
+                assert_eq!(w.retire_loads(now), before - model.len());
+            }
+            assert_eq!(w.earliest_load_done(), model.iter().copied().min());
+            assert_eq!(w.loads_in_flight(), model.len());
+        }
     }
 }

@@ -166,10 +166,21 @@ fn read_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-fn write_payload(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&checksum64(payload).to_le_bytes())?;
-    w.write_all(payload)
+/// Sends `magic | head | len | checksum | payload` with one write: a frame
+/// split over several small writes stalls on Nagle's algorithm against the
+/// peer's delayed ACK.
+fn send_frame(w: &mut impl Write, head: &[u8], payload: &[u8]) -> io::Result<()> {
+    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
+        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
+    }
+    let mut frame = Vec::with_capacity(4 + head.len() + 4 + 8 + payload.len());
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.extend_from_slice(head);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Serializes one request frame.
@@ -179,14 +190,10 @@ pub fn write_request(
     key: &[u8; KEY_LEN],
     payload: &[u8],
 ) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
-        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
-    }
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&[opcode as u8])?;
-    w.write_all(key)?;
-    write_payload(w, payload)?;
-    w.flush()
+    let mut head = [0u8; 1 + KEY_LEN];
+    head[0] = opcode as u8;
+    head[1..].copy_from_slice(key);
+    send_frame(w, &head, payload)
 }
 
 /// Parses one request frame (blocking until complete or the stream errors).
@@ -209,13 +216,7 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
 
 /// Serializes one response frame.
 pub fn write_response(w: &mut impl Write, status: Status, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
-        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
-    }
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&[status as u8])?;
-    write_payload(w, payload)?;
-    w.flush()
+    send_frame(w, &[status as u8], payload)
 }
 
 /// Parses one response frame.
@@ -267,6 +268,55 @@ mod tests {
         let parsed = read_response(&mut buf.as_slice()).unwrap();
         assert_eq!(parsed.status, Status::Hit);
         assert_eq!(parsed.payload, b"payload");
+    }
+
+    /// Counts `write` calls, so a test can see how a frame reaches the wire.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_keep_their_layout_and_go_out_in_one_write() {
+        let key = key_field(&"cd".repeat(16));
+        let payload = b"entry";
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        write_request(&mut w, Opcode::Get, &key, payload).unwrap();
+        let mut expected = b"VGS1".to_vec();
+        expected.push(1);
+        expected.extend_from_slice(&key);
+        expected.extend_from_slice(&5u32.to_le_bytes());
+        expected.extend_from_slice(&checksum64(payload).to_le_bytes());
+        expected.extend_from_slice(payload);
+        assert_eq!(w.bytes, expected);
+        assert_eq!(w.writes, 1);
+
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        write_response(&mut w, Status::Miss, b"").unwrap();
+        let mut expected = b"VGS1".to_vec();
+        expected.push(2);
+        expected.extend_from_slice(&0u32.to_le_bytes());
+        expected.extend_from_slice(&checksum64(b"").to_le_bytes());
+        assert_eq!(w.bytes, expected);
+        assert_eq!(w.writes, 1);
     }
 
     #[test]

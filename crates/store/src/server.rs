@@ -150,6 +150,10 @@ impl StoreServer {
             while !self.stop.load(Ordering::Relaxed) {
                 match self.listener.accept() {
                     Ok((stream, peer)) => {
+                        // Every reply is one write that the peer waits on, so
+                        // Nagle's algorithm could only delay it. Failing to
+                        // set the option costs latency, not correctness.
+                        let _ = stream.set_nodelay(true);
                         let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed) + 1;
                         scope.spawn(move || self.handle(stream, peer, conn_id));
                     }

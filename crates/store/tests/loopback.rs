@@ -170,3 +170,37 @@ fn stop_joins_promptly_with_idle_connections_open() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cached_get_hits_are_fast_on_one_connection() {
+    let dir = temp_dir("get-latency");
+    let server = StoreServer::bind("127.0.0.1:0", EntryDir::new(&dir)).unwrap();
+    let mut handle = server.spawn().unwrap();
+
+    let (key, envelope) = tiny_envelope(5);
+    let mut client = StoreClient::connect(handle.addr()).unwrap();
+    assert!(client.put(&key, &envelope).unwrap());
+    // Warm the entry once, then time back-to-back hits on one connection.
+    // A reply that waits on the peer's delayed ACK (Nagle's algorithm
+    // against a frame sent in several writes) costs tens of milliseconds.
+    assert_eq!(
+        client.get(&key).unwrap().as_deref(),
+        Some(envelope.as_str())
+    );
+    const GETS: u32 = 32;
+    let started = std::time::Instant::now();
+    for _ in 0..GETS {
+        assert_eq!(
+            client.get(&key).unwrap().as_deref(),
+            Some(envelope.as_str())
+        );
+    }
+    let mean = started.elapsed() / GETS;
+    assert!(
+        mean < std::time::Duration::from_millis(5),
+        "mean loopback GET {mean:?} must stay under 5 ms"
+    );
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
